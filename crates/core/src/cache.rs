@@ -721,21 +721,6 @@ impl LayerCache {
         None
     }
 
-    /// Whether the lookup would hit (exact or canonical), without touching
-    /// the counters.
-    pub fn contains(&self, key: &LayerKey, canonical: Option<&CanonicalLayerKey>) -> bool {
-        if self.map.contains_key(key) {
-            return true;
-        }
-        canonical.is_some_and(|ck| {
-            self.canon.get(ck.canon_bytes()).is_some_and(|bucket| {
-                bucket
-                    .iter()
-                    .any(|e| e.positional.as_ref() == ck.positional_bytes())
-            })
-        })
-    }
-
     /// Stores a solution (counted as part of the preceding
     /// [`LayerCache::lookup`] miss).
     pub fn insert(
@@ -758,21 +743,6 @@ impl LayerCache {
             }
         }
         self.map.insert(key, solution);
-    }
-
-    /// Stores a speculatively pre-solved solution without touching the
-    /// counters — used by the parallel pre-solve phase, whose predictions
-    /// are not demand lookups.
-    pub fn warm(
-        &mut self,
-        key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-        solution: LayerSolution,
-    ) {
-        if self.map.contains_key(&key) {
-            return;
-        }
-        self.insert(key, canonical, solution);
     }
 
     /// Demand lookups that found a solution (any hit class) since the last
@@ -869,10 +839,8 @@ impl CacheContext {
 
 /// Aggregate counters of a [`SharedLayerCache`].
 ///
-/// Hits and misses count *demand* lookups only (speculative warming is
-/// excluded, mirroring [`LayerCache`]). The split is diagnostic: it varies
-/// with request interleaving and worker count, while the schedules served
-/// from the cache never do.
+/// The hit/miss split is diagnostic: it varies with request interleaving
+/// and worker count, while the schedules served from the cache never do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand lookups satisfied by the exact in-memory index.
@@ -886,7 +854,7 @@ pub struct CacheStats {
     pub store_hits: u64,
     /// Demand lookups that missed everywhere.
     pub misses: u64,
-    /// Entries stored (demand and speculative).
+    /// Entries stored.
     pub insertions: u64,
     /// Entries dropped to keep the cache within its capacity.
     pub evictions: u64,
@@ -1065,29 +1033,6 @@ impl SharedLayerCache {
         st.counters.misses += 1;
         st.window.misses += 1;
         None
-    }
-
-    fn contains(
-        &self,
-        context: &CacheContext,
-        key: &LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-    ) -> bool {
-        let st = self.locked();
-        let probe = SharedKey {
-            context: context.clone(),
-            key: key.clone(),
-        };
-        if st.map.contains_key(&probe) {
-            return true;
-        }
-        canonical.is_some_and(|ck| {
-            st.canon.get(ck.canon_bytes()).is_some_and(|bucket| {
-                bucket.iter().any(|e| {
-                    e.positional.as_ref() == ck.positional_bytes() && st.map.contains_key(&e.shared)
-                })
-            })
-        })
     }
 
     fn insert(
@@ -1298,15 +1243,6 @@ impl RunCache {
         }
     }
 
-    /// Whether a lookup would hit (exact or canonical), without touching
-    /// the counters.
-    pub fn contains(&self, key: &LayerKey, canonical: Option<&CanonicalLayerKey>) -> bool {
-        match self {
-            RunCache::Local(c) => c.contains(key, canonical),
-            RunCache::Shared { cache, context, .. } => cache.contains(context, key, canonical),
-        }
-    }
-
     /// Stores a demand-solved solution.
     pub fn insert(
         &mut self,
@@ -1316,21 +1252,6 @@ impl RunCache {
     ) {
         match self {
             RunCache::Local(c) => c.insert(key, canonical, solution),
-            RunCache::Shared { cache, context, .. } => {
-                cache.insert(context, key, canonical, solution)
-            }
-        }
-    }
-
-    /// Stores a speculatively pre-solved solution without counting.
-    pub fn warm(
-        &mut self,
-        key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-        solution: LayerSolution,
-    ) {
-        match self {
-            RunCache::Local(c) => c.warm(key, canonical, solution),
             RunCache::Shared { cache, context, .. } => {
                 cache.insert(context, key, canonical, solution)
             }
@@ -1432,7 +1353,6 @@ mod tests {
         assert!(cache.lookup(&key, None).is_none());
         let sol = crate::solver::SolverKind::default().solve(&p).unwrap();
         cache.insert(key.clone(), None, sol.clone());
-        assert!(cache.contains(&key, None));
         assert_eq!(
             cache.lookup(&key, None),
             Some((sol.clone(), HitClass::Exact))
@@ -1449,9 +1369,6 @@ mod tests {
         assert_eq!(cache.take_counters(), CacheCounters::default());
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
-        // warm never overwrites and never counts.
-        cache.warm(key.clone(), None, sol);
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]
@@ -1500,7 +1417,6 @@ mod tests {
         let mut b = assay();
         b.add_op(Operation::new("z").with_duration(Duration::fixed(9)));
         let mut run_b = RunCache::shared(shared.clone(), &b, &config);
-        assert!(!run_b.contains(&key0, None));
         assert!(run_b.lookup(&key0, None).is_none());
 
         // FIFO eviction keeps the bound: capacity 2, three inserts.
@@ -1512,8 +1428,8 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.insertions, 3);
         // The oldest entry (key0) was the victim.
-        assert!(!run_a.contains(&key0, None));
-        assert!(run_a.contains(&LayerKey::of(&p, 2), None));
+        assert!(run_a.lookup(&key0, None).is_none());
+        assert!(run_a.lookup(&LayerKey::of(&p, 2), None).is_some());
         assert!(stats.hit_rate() > 0.0);
 
         shared.clear();

@@ -56,7 +56,7 @@ impl LayerSolver for HeuristicLayerSolver {
             for &op in p.ops.iter() {
                 // Re-derive the binding after every adoption: device indices
                 // may have been renumbered by pruning.
-                let binding: BTreeMap<OpId, usize> =
+                let mut binding: BTreeMap<OpId, usize> =
                     best.slots.iter().map(|s| (s.op, s.device)).collect();
                 let Some(&current) = binding.get(&op) else {
                     return Err(CoreError::Internal(format!(
@@ -64,39 +64,15 @@ impl LayerSolver for HeuristicLayerSolver {
                         op.index()
                     )));
                 };
-                let alternatives: Vec<usize> =
-                    (0..best.devices.len()).filter(|&d| d != current).collect();
                 // Adoption rule: the first improving device in ascending
-                // order. The parallel path evaluates every alternative and
-                // keeps the first improving one, which is exactly what the
-                // sequential early-break finds — results are identical at
-                // any thread count.
-                let adopted = if mfhls_par::max_threads() > 1 && alternatives.len() > 1 {
-                    mfhls_par::par_map(&alternatives, |&d| {
-                        let mut cand = binding.clone();
-                        cand.insert(op, d);
-                        schedule_with_binding(p, &ctx, &det_order, &ind_order, &cand, &best)
+                // order; the next op starts from a fresh binding map.
+                let adopted = (0..best.devices.len())
+                    .filter(|&d| d != current)
+                    .find_map(|d| {
+                        binding.insert(op, d);
+                        schedule_with_binding(p, &ctx, &det_order, &ind_order, &binding, &best)
                             .filter(|sol| sol.objective < best.objective)
-                    })
-                    .into_iter()
-                    .flatten()
-                    .next()
-                } else {
-                    let mut found = None;
-                    for &d in &alternatives {
-                        let mut cand = binding.clone();
-                        cand.insert(op, d);
-                        if let Some(sol) =
-                            schedule_with_binding(p, &ctx, &det_order, &ind_order, &cand, &best)
-                        {
-                            if sol.objective < best.objective {
-                                found = Some(sol);
-                                break; // next op, with a fresh binding map
-                            }
-                        }
-                    }
-                    found
-                };
+                    });
                 if let Some(sol) = adopted {
                     best = sol;
                     improved_any = true;

@@ -175,10 +175,9 @@ pub enum SolverKind {
     },
     /// Deterministic portfolio racing: run every listed backend on the
     /// layer and adopt the first strictly-improving result *in listed
-    /// order*. Non-ILP backends race concurrently under `mfhls-par` (the
-    /// ordered reduction keeps the outcome byte-identical at any thread
-    /// count); ILP backends run last, sequentially, warm-bounded by the
-    /// best objective found so far (`cutoff`), so the exact search only
+    /// order*. Non-ILP backends run first, in listed order; ILP backends
+    /// run last, warm-bounded by the best objective found so far
+    /// (`cutoff`), so the exact search only
     /// pays for layers the cheap backends left slack on. The adopted
     /// solution's counters absorb the losers' work, and the race itself is
     /// tallied in `portfolio_races` / `wins_*`.
@@ -304,40 +303,25 @@ fn solve_portfolio(
             "portfolio backends must be leaf strategies (heuristic|sdc|ilp), got {bad:?}"
         )));
     }
-    // Race the cheap (non-ILP) backends concurrently. `par_map` returns
-    // results in input order, so adoption below is independent of thread
-    // count and interleaving.
-    let cheap: Vec<(usize, &SolverKind)> = backends
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !matches!(b, SolverKind::Ilp { .. }))
-        .collect();
-    let raced: Vec<Result<LayerSolution, CoreError>> =
-        mfhls_par::par_map(&cheap, |(_, b)| b.solve(problem));
-
     let mut best: Option<(usize, LayerSolution)> = None;
     let mut losers = SolverStats {
         portfolio_races: 1,
         ..SolverStats::default()
     };
     let mut first_err: Option<CoreError> = None;
-    for ((idx, _), result) in cheap.iter().zip(raced) {
-        match result {
-            Ok(sol) => match &best {
-                Some((_, b)) if sol.objective >= b.objective => losers.merge(&sol.stats),
-                _ => {
-                    if let Some((_, prev)) = best.take() {
-                        losers.merge(&prev.stats);
-                    }
-                    best = Some((*idx, sol));
-                }
-            },
+    // The cheap (non-ILP) backends run first, in listed order.
+    for (idx, backend) in backends.iter().enumerate() {
+        if matches!(backend, SolverKind::Ilp { .. }) {
+            continue;
+        }
+        match backend.solve(problem) {
+            Ok(sol) => adopt(&mut best, &mut losers, idx, sol),
             Err(e) => {
                 first_err.get_or_insert(e);
             }
         }
     }
-    // ILP backends run last, sequentially, bounded by the incumbent: with
+    // ILP backends run last, bounded by the incumbent: with
     // `cutoff` set they only return solutions strictly better than the
     // best cheap result, so "Ok" here always means adoption-worthy.
     for (idx, backend) in backends.iter().enumerate() {
@@ -355,17 +339,7 @@ fn solve_portfolio(
         }
         .solve_with_stats(problem);
         match exact {
-            Ok(sol)
-                if best
-                    .as_ref()
-                    .is_none_or(|(_, b)| sol.objective < b.objective) =>
-            {
-                if let Some((_, prev)) = best.take() {
-                    losers.merge(&prev.stats);
-                }
-                best = Some((idx, sol));
-            }
-            Ok(sol) => losers.merge(&sol.stats),
+            Ok(sol) => adopt(&mut best, &mut losers, idx, sol),
             Err(e) => {
                 losers.merge(&work);
                 first_err.get_or_insert(e);
@@ -384,6 +358,25 @@ fn solve_portfolio(
     }
     sol.stats.merge(&losers);
     Ok(sol)
+}
+
+/// Adopts `sol` from leg `idx` when it strictly beats the incumbent (ties
+/// go to the earlier-listed leg); the rejected solution's work is charged
+/// to `losers`.
+fn adopt(
+    best: &mut Option<(usize, LayerSolution)>,
+    losers: &mut SolverStats,
+    idx: usize,
+    sol: LayerSolution,
+) {
+    match best {
+        Some((_, b)) if sol.objective >= b.objective => losers.merge(&sol.stats),
+        _ => {
+            if let Some((_, prev)) = best.replace((idx, sol)) {
+                losers.merge(&prev.stats);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -473,27 +466,6 @@ mod tests {
         // The race absorbed the work of every backend that actually ran.
         assert_eq!(raced.stats.sdc_solves, 1);
         assert!(raced.stats.heuristic_rounds > 0 || raced.stats.rebind_adoptions == 0);
-    }
-
-    #[test]
-    fn portfolio_is_thread_count_invariant() {
-        let assay = diamond_assay();
-        let transport = TransportTimes::initial(&assay, &TransportConfig::default());
-        let costs = CostModel::default();
-        let p = problem(&assay, &transport, &costs);
-        let spec = SolverKind::Portfolio {
-            backends: vec![
-                SolverKind::Heuristic {
-                    improvement_passes: 2,
-                },
-                SolverKind::Sdc {
-                    improvement_passes: 2,
-                },
-            ],
-        };
-        let one = mfhls_par::with_threads(1, || spec.solve(&p).unwrap());
-        let four = mfhls_par::with_threads(4, || spec.solve(&p).unwrap());
-        assert_eq!(one, four);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Deterministic structured observability for the mfhls workspace.
 //!
 //! The pipeline (layering → per-layer solves → progressive re-synthesis →
-//! fault simulation) is multi-pass and multi-threaded, yet its results are
-//! bitwise-identical at any thread count. This crate extends that contract
+//! fault simulation) is multi-pass, and its trial and serving layers are
+//! multi-threaded, yet its results are bitwise-identical at any thread
+//! count. This crate extends that contract
 //! to its *traces*: every record carries a **logical sequence number**
 //! assigned on the recording thread, and the logical portion of a trace is
 //! identical no matter how many workers `mfhls-par` spins up. Wall-clock
@@ -13,15 +14,14 @@
 //!
 //! * **Thread-local recording.** [`start_capture`] installs a recorder on
 //!   the *calling* thread only. Pool workers spawned by `mfhls-par` never
-//!   have one, so anything they emit is dropped — which is exactly what
-//!   determinism needs, because speculative work on workers varies with
-//!   the pool size. Sequential driver code (the synthesis loop, the layer
-//!   walk, the fault-run engine) records; racy helpers stay silent.
+//!   have one, so anything they emit is dropped and a trace never depends
+//!   on the pool size. Sequential driver code (the synthesis loop, the
+//!   layer walk, the fault-run engine) records.
 //! * **Logical vs. diagnostic.** Records are classed [`Class::Logical`]
 //!   (pinned by determinism tests: same at 1 or N threads, cache on or
 //!   off) or [`Class::Diagnostic`] (best-effort insight such as cache
-//!   hit/miss splits, which legitimately depend on how speculation warmed
-//!   the cache). [`Trace::logical_fingerprint`] sees only the former.
+//!   hit/miss splits, which legitimately depend on what the cache already
+//!   held). [`Trace::logical_fingerprint`] sees only the former.
 //! * **Zero cost when disabled.** Every emit checks a thread-local
 //!   `Cell<bool>` first and takes field slices by reference, so a
 //!   disabled call allocates nothing (pinned by `tests/zero_alloc.rs`).
@@ -113,8 +113,8 @@ pub enum Class {
     /// Pinned by the determinism suite: identical at any thread count and
     /// with the layer cache on or off.
     Logical,
-    /// Best-effort insight that may legitimately vary with the pool size
-    /// (e.g. cache hit/miss splits after speculative warming).
+    /// Best-effort insight that may legitimately vary with the cache
+    /// setting or contents (e.g. cache hit/miss splits).
     Diagnostic,
 }
 

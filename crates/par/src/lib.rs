@@ -12,8 +12,9 @@
 //! > `items.iter().map(f).collect()` at *every* thread count,
 //!
 //! which is what lets `mfhls-sim`'s seeded Monte-Carlo trials and
-//! `mfhls-core`'s synthesis keep their byte-for-byte reproducibility
-//! guarantees while saturating the machine.
+//! `mfhls-svc`'s request windows keep their byte-for-byte reproducibility
+//! guarantees while saturating the machine. A single synthesis run never
+//! calls into the pool: it is sequential by construction.
 //!
 //! # Sizing
 //!
@@ -101,18 +102,6 @@ pub fn max_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Whether the calling thread is a pool worker executing a parallel item.
-///
-/// Observability code uses this to distinguish the sequential driver
-/// thread (whose records are thread-count-invariant) from speculative
-/// worker execution. Note the converse does not hold on the *caller*
-/// thread: with one thread, parallel items run inline there — callers
-/// whose per-item records must stay deterministic mute recording
-/// explicitly instead of relying on this check.
-pub fn in_worker() -> bool {
-    IN_POOL.with(Cell::get)
-}
-
 /// Installs a process-wide default thread count (`None` clears it). The
 /// CLI's `--threads N` flag funnels here; [`with_threads`] still wins for
 /// the calling thread.
@@ -147,40 +136,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     run_indexed(items.len(), |i| f(&items[i]))
-}
-
-/// Like [`par_map`] but hands `f` the item's index as well — the natural
-/// shape for seeded trials (`f(seed_index, _)`).
-///
-/// # Panics
-///
-/// Propagates the first observed panic from `f` (original payload).
-pub fn par_map_indexed<T: Sync, R: Send, F>(items: &[T], f: F) -> Vec<R>
-where
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed(items.len(), |i| f(i, &items[i]))
-}
-
-/// Splits `items` into contiguous chunks of at most `chunk_size` and maps
-/// `f(chunk_start_index, chunk)` over them in parallel. Results come back
-/// in chunk order. Useful when per-item work is too small to amortise the
-/// claim overhead.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`; propagates panics from `f`.
-pub fn par_chunks<T: Sync, R: Send, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "par_chunks requires a non-zero chunk size");
-    let n_chunks = items.len().div_ceil(chunk_size);
-    run_indexed(n_chunks, |c| {
-        let start = c * chunk_size;
-        let end = (start + chunk_size).min(items.len());
-        f(start, &items[start..end])
-    })
 }
 
 /// The shared engine: evaluates `work(0..n)` on the resolved pool and
@@ -264,28 +219,6 @@ mod tests {
             })
         });
         assert_eq!(out, (0..64).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn indexed_variant_sees_correct_indices() {
-        let items = vec!["a", "b", "c", "d"];
-        let out = with_threads(4, || par_map_indexed(&items, |i, s| format!("{i}{s}")));
-        assert_eq!(out, vec!["0a", "1b", "2c", "3d"]);
-    }
-
-    #[test]
-    fn chunks_cover_everything_in_order() {
-        let items: Vec<u32> = (0..103).collect();
-        let sums = with_threads(4, || {
-            par_chunks(&items, 10, |start, chunk| {
-                (start, chunk.iter().sum::<u32>())
-            })
-        });
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums[0].0, 0);
-        assert_eq!(sums[10].0, 100);
-        let total: u32 = sums.iter().map(|&(_, s)| s).sum();
-        assert_eq!(total, (0..103).sum::<u32>());
     }
 
     #[test]

@@ -363,6 +363,44 @@ pub fn solver_from_str(name: &str) -> Result<SolverKind, String> {
     crate::spec::parse_spec(name)
 }
 
+/// A named benchmark family: its default scale, its generator, and the
+/// closed form of its op count.
+struct Benchmark {
+    default_scale: usize,
+    build: fn(usize) -> Assay,
+    ops_per_unit: u128,
+    fixed_ops: u128,
+}
+
+impl Benchmark {
+    fn named(name: &str) -> Result<Benchmark, String> {
+        let (default_scale, build, ops_per_unit, fixed_ops): (_, fn(usize) -> Assay, _, _) =
+            match name {
+                "kinase" | "kinase_activity" => (2, mfhls_assays::kinase_activity, 7, 2),
+                "gene" | "gene_expression" => (10, mfhls_assays::gene_expression, 7, 0),
+                "rtqpcr" => (20, mfhls_assays::rtqpcr, 6, 0),
+                "cell-culture" | "cell_culture" => (4, |c| mfhls_assays::cell_culture(c, 2), 9, 1),
+                other => {
+                    return Err(format!(
+                        "unknown benchmark '{other}' (kinase|gene|rtqpcr|cell-culture)"
+                    ))
+                }
+            };
+        Ok(Benchmark {
+            default_scale,
+            build,
+            ops_per_unit,
+            fixed_ops,
+        })
+    }
+
+    /// The op count `build(scale)` would produce, without building it.
+    /// Exact for every `scale`: in `u128` the closed form cannot overflow.
+    fn ops(&self, scale: usize) -> u128 {
+        self.ops_per_unit * scale as u128 + self.fixed_ops
+    }
+}
+
 /// Instantiates a named benchmark assay: `kinase` (scale = samples,
 /// default 2), `gene` (cells, default 10), `rtqpcr` (cells, default 20),
 /// `cell-culture` (chambers, default 4).
@@ -371,15 +409,8 @@ pub fn solver_from_str(name: &str) -> Result<SolverKind, String> {
 ///
 /// A message naming the unknown benchmark.
 pub fn benchmark_assay(name: &str, scale: Option<usize>) -> Result<Assay, String> {
-    match name {
-        "kinase" | "kinase_activity" => Ok(mfhls_assays::kinase_activity(scale.unwrap_or(2))),
-        "gene" | "gene_expression" => Ok(mfhls_assays::gene_expression(scale.unwrap_or(10))),
-        "rtqpcr" => Ok(mfhls_assays::rtqpcr(scale.unwrap_or(20))),
-        "cell-culture" | "cell_culture" => Ok(mfhls_assays::cell_culture(scale.unwrap_or(4), 2)),
-        other => Err(format!(
-            "unknown benchmark '{other}' (kinase|gene|rtqpcr|cell-culture)"
-        )),
-    }
+    let b = Benchmark::named(name)?;
+    Ok((b.build)(scale.unwrap_or(b.default_scale)))
 }
 
 impl SynthesisRequest {
@@ -442,18 +473,21 @@ impl SynthesisRequest {
             AssaySource::Netlist(value) => crate::netlist::assay_from_json(value, max_ops)
                 .map_err(|m| RequestError::new(ErrorKind::ParseError, m)),
             AssaySource::Benchmark { name, scale } => {
-                let assay = benchmark_assay(name, *scale)
+                let b = Benchmark::named(name)
                     .map_err(|m| RequestError::new(ErrorKind::ParseError, m))?;
-                if assay.len() > max_ops {
+                let scale = scale.unwrap_or(b.default_scale);
+                // Admission is checked on the closed-form count, so an
+                // oversized `scale` costs nothing before it is rejected.
+                let ops = b.ops(scale);
+                if ops > max_ops as u128 {
                     return Err(RequestError::new(
                         ErrorKind::ParseError,
                         format!(
-                            "benchmark '{name}' defines {} operations, exceeding the limit of {max_ops}",
-                            assay.len()
+                            "benchmark '{name}' defines {ops} operations, exceeding the limit of {max_ops}"
                         ),
                     ));
                 }
-                Ok(assay)
+                Ok((b.build)(scale))
             }
         }
     }
@@ -995,6 +1029,40 @@ mod tests {
         assert_eq!(
             bad.resolve_assay(64).unwrap_err().kind,
             ErrorKind::ParseError
+        );
+    }
+
+    #[test]
+    fn benchmark_op_count_matches_the_built_assay() {
+        for name in ["kinase", "gene", "rtqpcr", "cell-culture"] {
+            let b = Benchmark::named(name).unwrap();
+            for s in 0..=64 {
+                assert_eq!(
+                    b.ops(s),
+                    benchmark_assay(name, Some(s)).unwrap().len() as u128,
+                    "{name} at scale {s}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_benchmark_scale_is_rejected_before_building() {
+        let Incoming::Synthesize(req) = parse_incoming(
+            r#"{"version":"mfhls-api/v1","type":"synthesize","id":"huge","assay":{"benchmark":"rtqpcr","scale":1000000000}}"#,
+        )
+        .unwrap() else {
+            panic!("expected a synthesize request");
+        };
+        // Building 6e9 ops would take minutes and gigabytes; the closed-form
+        // check answers at once.
+        let started = std::time::Instant::now();
+        let e = req.resolve_assay(1000).unwrap_err();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(e.kind, ErrorKind::ParseError);
+        assert_eq!(
+            e.message,
+            "benchmark 'rtqpcr' defines 6000000000 operations, exceeding the limit of 1000"
         );
     }
 

@@ -3,11 +3,11 @@
 //!
 //! ```text
 //! mfhls synth protocol.mfa [--conventional] [--max-devices N] [--threshold T]
-//!                          [--weights Ct,Ca,Cpr,Cp] [--threads N] [--gantt]
+//!                          [--weights Ct,Ca,Cpr,Cp] [--gantt]
 //!                          [--svg FILE] [--report] [--iterations]
 //! mfhls validate protocol.mfa
 //! mfhls simulate protocol.mfa [--trials N] [--policy hybrid|online]
-//!                             [--success-probability P] [--latency M]
+//!                             [--success-probability P] [--latency M] [--threads N]
 //! mfhls faultsim protocol.mfa [--trials N] [--seed S] [--fault-rate R]
 //!                             [--fail-device D[@L]] [--max-retries K]
 //!                             [--pad-factor F] [--threads N] [--exact]
@@ -85,11 +85,11 @@ fn print_usage() {
         "mfhls — component-oriented HLS for continuous-flow microfluidics (DAC'17)\n\n\
          USAGE:\n  \
          mfhls synth <file.mfa> [--conventional] [--max-devices N] [--threshold T]\n             \
-         [--weights Ct,Ca,Cpr,Cp] [--solver SPEC] [--threads N]\n             \
+         [--weights Ct,Ca,Cpr,Cp] [--solver SPEC]\n             \
          [--svg FILE] [--csv FILE] [--gantt] [--report] [--iterations]\n  \
          mfhls validate <file.mfa>\n  \
          mfhls simulate <file.mfa> [--trials N] [--policy hybrid|online]\n             \
-         [--success-probability P] [--latency M]\n  \
+         [--success-probability P] [--latency M] [--threads N]\n  \
          mfhls faultsim <file.mfa> [--trials N] [--seed S] [--fault-rate R]\n             \
          [--device-failure P] [--op-abort P] [--degradation P] [--path-blockage P]\n             \
          [--fail-device D[@L]] [--max-retries K] [--pad-factor F]\n             \
@@ -111,7 +111,8 @@ fn print_usage() {
          like portfolio:heuristic+sdc+ilp (default: heuristic).\n  \
          --format F    (synth|simulate|faultsim) text (default) or json — one\n                \
          mfhls-api/v1 object on stdout.\n  \
-         --threads N   worker-pool size for parallel trials / candidate search\n                \
+         --threads N   (simulate|faultsim|gen) worker-pool size for parallel\n                \
+         trials and checks\n                \
          (default: MFHLS_THREADS env var, then the CPU count).\n                \
          Output is bitwise-identical at any thread count.\n  \
          --trace FILE  (synth|simulate|faultsim) capture a deterministic\n                \
@@ -136,7 +137,6 @@ fn print_usage() {
 
 /// Flags shared by every subcommand that builds a [`SynthConfig`].
 const CONFIG_FLAGS: &[(&str, bool)] = &[
-    ("--threads", true),
     ("--max-devices", true),
     ("--threshold", true),
     ("--weights", true),
@@ -297,7 +297,9 @@ fn finish_trace_quietly(opts: &TraceOpts, quiet_stdout: bool) -> Result<(), CliE
     Ok(())
 }
 
-fn config_from(flags: &Flags<'_>) -> Result<SynthConfig, CliError> {
+/// Installs `--threads N` as the worker-pool size for the subcommands
+/// that fan work out (simulation trials, generator checks).
+fn apply_threads(flags: &Flags<'_>) -> Result<(), CliError> {
     if let Some(n) = flags.value("--threads") {
         let n: usize = n
             .parse()
@@ -307,6 +309,10 @@ fn config_from(flags: &Flags<'_>) -> Result<SynthConfig, CliError> {
         }
         mfhls::par::set_default_threads(Some(n));
     }
+    Ok(())
+}
+
+fn config_from(flags: &Flags<'_>) -> Result<SynthConfig, CliError> {
     // Flag defaults come from `SynthConfig::default()` itself, so the CLI
     // can never drift from the library (the old code re-stated the paper
     // values as literals here).
@@ -487,6 +493,7 @@ const SIMULATE_FLAGS: &[(&str, bool)] = &[
     ("--success-probability", true),
     ("--latency", true),
     ("--format", true),
+    ("--threads", true),
 ];
 
 fn simulate(args: &[String]) -> Result<(), CliError> {
@@ -497,6 +504,7 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
         &[CONFIG_FLAGS, TRACE_FLAGS, SIMULATE_FLAGS],
     )?;
     let (assay, flags) = load_assay(args)?;
+    apply_threads(&flags)?;
     let config = config_from(&flags)?;
     let json = json_format(&flags)?;
     let n = flags.parsed("--trials", 100u64)?;
@@ -542,6 +550,7 @@ const FAULTSIM_FLAGS: &[(&str, bool)] = &[
     ("--latency", true),
     ("--format", true),
     ("--exact", false),
+    ("--threads", true),
 ];
 
 fn faultsim(args: &[String]) -> Result<(), CliError> {
@@ -552,6 +561,7 @@ fn faultsim(args: &[String]) -> Result<(), CliError> {
         &[CONFIG_FLAGS, TRACE_FLAGS, FAULTSIM_FLAGS],
     )?;
     let (assay, flags) = load_assay(args)?;
+    apply_threads(&flags)?;
     let config = config_from(&flags)?;
     let json = json_format(&flags)?;
     let trace = trace_opts(&flags)?;
@@ -937,15 +947,7 @@ fn gen(args: &[String]) -> Result<(), CliError> {
 
     check_flags("gen", args, 0, &[GEN_FLAGS])?;
     let flags = Flags { args };
-    if let Some(n) = flags.value("--threads") {
-        let n: usize = n
-            .parse()
-            .map_err(|e| format!("invalid value for --threads: {e}"))?;
-        if n == 0 {
-            return Err("--threads wants at least 1".into());
-        }
-        mfhls::par::set_default_threads(Some(n));
-    }
+    apply_threads(&flags)?;
     let seed: u64 = flags.parsed("--seed", 0)?;
     let count: u64 = flags.parsed("--count", 1)?;
     if count == 0 {
@@ -972,8 +974,8 @@ fn gen(args: &[String]) -> Result<(), CliError> {
 
     if flags.has("--check") {
         // Checks are pure functions of (profile, seed): fan them out over
-        // the worker pool (honouring --threads / MFHLS_THREADS like every
-        // other subcommand) and print in case order, so the output is
+        // the worker pool (honouring --threads / MFHLS_THREADS like
+        // simulate and faultsim) and print in case order, so the output is
         // byte-identical at any thread count.
         let case_list: Vec<(Profile, u64)> = (seed..seed.saturating_add(count))
             .flat_map(|s| profiles.iter().map(move |&p| (p, s)))

@@ -248,6 +248,32 @@ fn unknown_flag_is_rejected() {
 }
 
 #[test]
+fn threads_is_rejected_where_nothing_runs_in_parallel() {
+    // A synthesis run is sequential, so only the subcommands that fan out
+    // trials accept --threads; synth rejects it like any unknown flag.
+    let path = write_protocol("synth_threads", PROTOCOL);
+    let out = mfhls(&["synth", path.to_str().unwrap(), "--threads", "2"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag '--threads'"), "{err}");
+    assert!(err.contains("'mfhls synth'"), "{err}");
+    let out = mfhls(&[
+        "simulate",
+        path.to_str().unwrap(),
+        "--trials",
+        "3",
+        "--threads",
+        "2",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn flag_missing_value_is_rejected() {
     let path = write_protocol("noval", PROTOCOL);
     let out = mfhls(&["synth", path.to_str().unwrap(), "--svg"]);

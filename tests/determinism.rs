@@ -1,13 +1,16 @@
 //! Thread-count invariance: the determinism contract of `mfhls-par`.
 //!
-//! Every parallel site in the workspace (synthesis candidate search and
-//! speculative layer pre-solving, simulation trials, survivability
-//! studies) must produce **bitwise-identical** results at any thread
-//! count. These tests pin that contract by running the same work pinned
-//! to 1 and 4 workers and comparing full result structures, and check
-//! that the layer-solution memo cache is a pure accelerator (cache on ≡
-//! cache off). The `mfhls-obs` logical record stream is held to the same
-//! standard: identical fingerprints at any thread count and cache setting.
+//! A synthesis run is sequential: it never calls into the worker pool,
+//! so everything it reports — schedule, per-iteration metrics with the
+//! cache counters, and the full trace, diagnostics included — is the same
+//! at any thread count. The parallel sites (simulation trials,
+//! survivability studies) must produce **bitwise-identical** results at
+//! any thread count. These tests pin both rules by running the same work
+//! pinned to 1 and 4 workers and comparing full result structures, and
+//! check that the layer-solution memo cache is a pure accelerator (cache
+//! on ≡ cache off). The `mfhls-obs` logical record stream is held to the
+//! same standard: identical fingerprints at any thread count and cache
+//! setting.
 
 use mfhls::core::recovery::RetryPolicy;
 use mfhls::par::with_threads;
@@ -39,9 +42,7 @@ fn synthesis_is_thread_count_invariant() {
             "schedule differs between 1 and 4 threads for '{}'",
             assay.name()
         );
-        // Iteration metrics must match too, except the cache hit/miss
-        // split, which is documented as thread-dependent diagnostics
-        // (speculation warms the cache from a worker pool).
+        // Iteration metrics must match too.
         assert_eq!(seq.iterations.len(), par.iterations.len());
         for (s, p) in seq.iterations.iter().zip(&par.iterations) {
             assert_eq!(s.exec_time, p.exec_time);
@@ -53,14 +54,54 @@ fn synthesis_is_thread_count_invariant() {
 }
 
 #[test]
+fn synthesis_run_is_sequential() {
+    // No part of a run depends on the pool size: not the cache hit/miss
+    // split of any iteration, and not a single trace record, diagnostics
+    // included. Table 2 cases 1-3 under the default heuristic and under a
+    // cheap-leg portfolio.
+    let solvers = [
+        mfhls::core::SolverKind::default(),
+        mfhls::svc::solver_from_str("portfolio:heuristic+sdc").expect("valid spec"),
+    ];
+    for (case, _, assay) in mfhls::assays::benchmarks() {
+        for solver in &solvers {
+            let traced = |threads: usize| {
+                with_threads(threads, || {
+                    mfhls::obs::start_capture(mfhls::obs::CaptureConfig::default());
+                    let result = Synthesizer::new(
+                        SynthConfig::builder()
+                            .solver(solver.clone())
+                            .build()
+                            .expect("valid config"),
+                    )
+                    .run(&assay)
+                    .expect("benchmark assay must synthesize");
+                    let trace = mfhls::obs::finish_capture().expect("capture was active");
+                    (result.iterations, trace.to_jsonl())
+                })
+            };
+            let (iterations_1, trace_1) = traced(1);
+            let (iterations_4, trace_4) = traced(4);
+            assert_eq!(
+                iterations_1, iterations_4,
+                "case {case} under {solver:?}: iteration stats differ between 1 and 4 threads"
+            );
+            assert!(
+                trace_1 == trace_4,
+                "case {case} under {solver:?}: trace differs between 1 and 4 threads"
+            );
+        }
+    }
+}
+
+#[test]
 fn ilp_solver_is_thread_count_invariant() {
     // The exact §4 path must honour the same contract as the heuristic:
     // identical schedules AND identical solver work counters at any thread
     // count. The counters live inside cached layer solutions, so cache hits
-    // (however speculation warmed the cache) replay the original solve's
-    // numbers. Hand-built two-layer assay: small enough for debug-mode
-    // exact solves, with an indeterminate op so re-synthesis and
-    // speculative pre-solving actually run.
+    // replay the original solve's numbers. Hand-built two-layer assay:
+    // small enough for debug-mode exact solves, with an indeterminate op
+    // so re-synthesis actually runs.
     use mfhls::chip::{Accessory, Capacity, ContainerKind};
     use mfhls::{Duration, Operation};
     let mut assay = mfhls::Assay::new("ilp-determinism");
@@ -159,7 +200,7 @@ fn layer_cache_is_a_pure_accelerator() {
 fn logical_trace_is_thread_count_and_cache_invariant() {
     // The observability layer's determinism contract: the *logical* record
     // stream (spans, layer/iteration events — everything except diagnostics
-    // like cache hit/miss splits and speculative ILP solves) is identical
+    // like cache hit/miss splits and per-solve ILP records) is identical
     // at any thread count and with the layer cache on or off.
     let assay = mfhls::assays::gene_expression(10);
     let traced = |threads: usize, cache: bool| {
